@@ -13,7 +13,13 @@
 //! * `size<n>_diag_count` — total analyzer diagnostics (all severities),
 //!
 //! plus the usual auto-derived aggregate `states_per_sec` that
-//! `perf_guard` gates against `ci/bench_baseline_e11.json`.
+//! `perf_guard` gates against `ci/bench_baseline_e11.json`. Two
+//! ungated figures track the cost of one exploration step:
+//! `size4_us_per_transition` (sequential wall time over transitions at
+//! size 4) and `vm_clone_ns_d<d>` for d = 0, 50, 150 — the cost of one
+//! `Vm::branch` snapshot of the size-4 scenario `d` scheduler decisions
+//! into a round-robin path that branched at every step, as the explorer
+//! does.
 //!
 //! **Determinism gates** (asserted, not just reported): the generated
 //! source is byte-identical across two in-process generations; the
@@ -87,9 +93,50 @@ fn symmetric_scenario_vm(cfg: &GenConfig) -> Vm {
     Vm::new(compiled, threads)
 }
 
+/// Nanoseconds per `Vm::branch` of the size-4 scenario at `depth`
+/// scheduler decisions into a round-robin path that was itself built by
+/// branching at every step, so its trace is sealed the way the explorer
+/// seals it. The best of five batches of 1 000 snapshots.
+fn branch_ns_at(depth: usize) -> f64 {
+    let mut vm = scenario_vm(&GenConfig::sized(4, SEED));
+    let mut next_thread = 0;
+    for d in 0..depth {
+        let runnable = vm.runnable();
+        assert!(
+            vm.current_verdict().is_none(),
+            "round-robin path ended at depth {d}, before {depth}"
+        );
+        let t = runnable
+            .iter()
+            .copied()
+            .find(|&i| i >= next_thread)
+            .unwrap_or(runnable[0]);
+        next_thread = t + 1;
+        let mut next = vm.branch();
+        next.step(t);
+        vm = next;
+    }
+    const BATCH: usize = 1_000;
+    let mut copies = Vec::with_capacity(BATCH);
+    let mut best = f64::INFINITY;
+    for _ in 0..5 {
+        let t0 = Instant::now();
+        for _ in 0..BATCH {
+            copies.push(vm.branch());
+        }
+        best = best.min(t0.elapsed().as_nanos() as f64 / BATCH as f64);
+        copies.clear();
+    }
+    best
+}
+
+/// Per-size figures of one sweep: `(size, states, transitions, seconds,
+/// diag_count)`.
+type Figures = Vec<(usize, usize, usize, f64, usize)>;
+
 /// One pass over the ladder. Returns the canonical (timing-free) curve and
-/// the per-size figures `(states, seconds, diag_count)`.
-fn sweep(check_portfolio: bool) -> (String, Vec<(usize, usize, f64, usize)>) {
+/// the per-size figures.
+fn sweep(check_portfolio: bool) -> (String, Figures) {
     let mut curve = String::new();
     let mut figures = Vec::new();
     for &n in &SIZES {
@@ -158,7 +205,7 @@ fn sweep(check_portfolio: bool) -> (String, Vec<(usize, usize, f64, usize)>) {
             seq.completed_paths,
         )
         .unwrap();
-        figures.push((n, seq.states, secs, diag_count));
+        figures.push((n, seq.states, seq.transitions, secs, diag_count));
     }
     (curve, figures)
 }
@@ -182,7 +229,7 @@ fn main() {
     say!("curve artifact written to ./BENCH_e11_curve.txt");
 
     let mut prev_states = 0usize;
-    for (n, states, secs, diags) in &figures {
+    for (n, states, transitions, secs, diags) in &figures {
         say!(
             "size {n}: {states} states in {secs:.3}s ({:.0} states/sec), {diags} diagnostics",
             *states as f64 / secs
@@ -198,6 +245,18 @@ fn main() {
             *states as f64 / secs,
         );
         reporter.set_derived(&format!("size{n}_diag_count"), *diags as f64);
+        if *n == 4 {
+            reporter.set_derived(
+                "size4_us_per_transition",
+                secs * 1e6 / (*transitions).max(1) as f64,
+            );
+        }
+    }
+    say!("\nVm::branch snapshot cost on the size-4 scenario:");
+    for depth in [0usize, 50, 150] {
+        let ns = branch_ns_at(depth);
+        say!("depth {depth}: {ns:.0} ns");
+        reporter.set_derived(&format!("vm_clone_ns_d{depth}"), ns);
     }
     // --- reduction on/off: ample + symmetry across the ladder ---
     // Each size explored full and reduced; the failure-class existence

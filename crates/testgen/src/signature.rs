@@ -5,6 +5,8 @@
 
 use std::collections::BTreeSet;
 
+use fxhash::FxHashSet;
+
 use jcc_vm::{RunOutcome, Value, Verdict, Vm};
 
 /// How a run ended, abstracted for comparison.
@@ -32,14 +34,21 @@ pub struct Signature {
     pub results: Vec<Vec<(bool, Option<Value>)>>,
 }
 
+impl EndState {
+    /// The abstract end state of a verdict.
+    fn of(verdict: &Verdict) -> EndState {
+        match verdict {
+            Verdict::Completed => EndState::Completed,
+            Verdict::Deadlock { .. } => EndState::Deadlock,
+            Verdict::Faulted { .. } => EndState::Faulted,
+            Verdict::StepLimit => EndState::NoProgress,
+        }
+    }
+}
+
 /// Extract the signature of a run outcome.
 pub fn run_signature(outcome: &RunOutcome) -> Signature {
-    let end = match &outcome.verdict {
-        Verdict::Completed => EndState::Completed,
-        Verdict::Deadlock { .. } => EndState::Deadlock,
-        Verdict::Faulted { .. } => EndState::Faulted,
-        Verdict::StepLimit => EndState::NoProgress,
-    };
+    let end = EndState::of(&outcome.verdict);
     let results = outcome
         .results
         .iter()
@@ -47,6 +56,23 @@ pub fn run_signature(outcome: &RunOutcome) -> Signature {
             calls
                 .iter()
                 .map(|c| (!c.suspended(), c.returned.clone()))
+                .collect()
+        })
+        .collect();
+    Signature { end, results }
+}
+
+/// The signature of the VM's current state, read from its call records —
+/// what [`run_signature`] gives for the outcome, without packaging the
+/// trace.
+fn vm_signature(vm: &Vm, end: EndState) -> Signature {
+    let results = vm
+        .call_records()
+        .iter()
+        .map(|calls| {
+            calls
+                .iter()
+                .map(|c| (c.completed_step.is_some(), c.returned.clone()))
                 .collect()
         })
         .collect();
@@ -79,8 +105,8 @@ impl Default for EnumLimits {
 /// Returns `(signatures, truncated)`.
 pub fn enumerate_signatures(vm: Vm, limits: EnumLimits) -> (BTreeSet<Signature>, bool) {
     let mut signatures = BTreeSet::new();
-    let mut seen = std::collections::HashSet::new();
-    let mut on_path = std::collections::HashSet::new();
+    let mut seen = FxHashSet::default();
+    let mut on_path = FxHashSet::default();
     let key0 = vm.state_key();
     seen.insert(key0);
     on_path.insert(key0);
@@ -98,16 +124,16 @@ pub fn enumerate_signatures(vm: Vm, limits: EnumLimits) -> (BTreeSet<Signature>,
 }
 
 fn dfs(
-    vm: Vm,
+    mut vm: Vm,
     depth: usize,
     limits: &EnumLimits,
-    seen: &mut std::collections::HashSet<u64>,
-    on_path: &mut std::collections::HashSet<u64>,
+    seen: &mut FxHashSet<u64>,
+    on_path: &mut FxHashSet<u64>,
     signatures: &mut BTreeSet<Signature>,
     truncated: &mut bool,
 ) {
     if let Some(verdict) = vm.current_verdict() {
-        signatures.insert(run_signature(&vm.into_outcome(verdict)));
+        signatures.insert(vm_signature(&vm, EndState::of(&verdict)));
         return;
     }
     if depth >= limits.max_depth {
@@ -115,15 +141,13 @@ fn dfs(
         return;
     }
     for t in vm.runnable() {
-        let mut next = vm.clone();
+        let mut next = vm.branch();
         next.step(t);
         let key = next.state_key();
         if on_path.contains(&key) {
             // A self-cycle: record the no-progress signature with the
             // current completion picture.
-            let mut sig = run_signature(&next.into_outcome(Verdict::StepLimit));
-            sig.end = EndState::NoProgress;
-            signatures.insert(sig);
+            signatures.insert(vm_signature(&next, EndState::NoProgress));
             continue;
         }
         if !seen.insert(key) {

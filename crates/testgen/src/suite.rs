@@ -156,18 +156,18 @@ impl SuiteGoals {
     }
 
     /// Fold one path's trace into the goals.
-    pub fn observe_trace(&mut self, trace: &[TraceEvent]) {
+    pub fn observe_trace<'a>(&mut self, trace: impl IntoIterator<Item = &'a TraceEvent>) {
         // Current method (and its start index) per thread; waiting counts
         // per lock; last concurrency site per thread.
-        let mut current: HashMap<usize, (String, usize)> = HashMap::new();
-        let mut waiting: HashMap<usize, Vec<(usize, String)>> = HashMap::new();
-        let mut last_site: HashMap<usize, (String, Vec<usize>)> = HashMap::new();
-        // Wake positions: (trace index, method) of each T5.
-        let mut wakes: Vec<(usize, String)> = Vec::new();
-        for (i, e) in trace.iter().enumerate() {
+        let mut current: HashMap<usize, (&str, usize)> = HashMap::new();
+        let mut waiting: HashMap<usize, Vec<(usize, &str)>> = HashMap::new();
+        let mut last_site: HashMap<usize, (&str, &[usize])> = HashMap::new();
+        // Wake positions: (trace index, method, thread) of each T5.
+        let mut wakes: Vec<(usize, &str, usize)> = Vec::new();
+        for (i, e) in trace.into_iter().enumerate() {
             match &e.kind {
                 TraceEventKind::MethodStart { method } => {
-                    current.insert(e.thread, (method.clone(), i));
+                    current.insert(e.thread, (method, i));
                 }
                 TraceEventKind::MethodEnd { method } => {
                     let started = current.remove(&e.thread).map(|(_, s)| s).unwrap_or(0);
@@ -176,23 +176,23 @@ impl SuiteGoals {
                     // wake-up — only such a call can observe state the woken
                     // thread corrupted.
                     if self.value_methods.contains(method) {
-                        for (wi, wmethod) in &wakes {
-                            if *wi < started
+                        for &(wi, wmethod, wthread) in &wakes {
+                            if wi < started
                                 && self.wait_methods.contains(wmethod)
-                                && trace[*wi].thread != e.thread
+                                && wthread != e.thread
                             {
-                                self.observed_after_wake.insert(wmethod.clone());
+                                self.observed_after_wake.insert(wmethod.to_string());
                             }
                         }
                     }
                 }
                 TraceEventKind::Site { method, path, .. } => {
-                    last_site.insert(e.thread, (method.clone(), path.clone()));
+                    last_site.insert(e.thread, (method, path));
                 }
                 TraceEventKind::NotifyIssued { waiters, .. }
                     if *waiters > 0 => {
-                        if let Some((m, p)) = last_site.get(&e.thread) {
-                            let key = (m.clone(), p.clone());
+                        if let Some(&(m, p)) = last_site.get(&e.thread) {
+                            let key = (m.to_string(), p.to_vec());
                             if self.notify_sites.contains(&key) {
                                 self.effective_notifies.insert(key);
                             }
@@ -200,10 +200,7 @@ impl SuiteGoals {
                     }
                 TraceEventKind::Transition { t, lock } => match t {
                     Transition::T3 => {
-                        let method = current
-                            .get(&e.thread)
-                            .map(|(m, _)| m.clone())
-                            .unwrap_or_default();
+                        let method = current.get(&e.thread).map_or("", |&(m, _)| m);
                         let set = waiting.entry(*lock).or_default();
                         set.push((e.thread, method));
                         if set.len() >= 2 {
@@ -221,8 +218,8 @@ impl SuiteGoals {
                                 set.remove(pos);
                             }
                         }
-                        if let Some((method, _)) = current.get(&e.thread) {
-                            wakes.push((i, method.clone()));
+                        if let Some(&(method, _)) = current.get(&e.thread) {
+                            wakes.push((i, method, e.thread));
                         }
                     }
                     _ => {}

@@ -4,12 +4,18 @@
 //! and at lock acquisition), so each method is compiled to straight-line
 //! instructions with explicit jumps; a thread's whole continuation is then
 //! just a program counter.
+//!
+//! Fields and locals are resolved to slots here, so a VM state holds them
+//! as plain vectors and a snapshot copies no names. The names stay in the
+//! slot tables ([`CompiledComponent::field_names`],
+//! [`CompiledMethod::locals`]) for lookups, fault messages and trace
+//! events.
 
 use std::collections::HashMap;
 
 use jcc_model::ast::{Block, Component, Expr, LValue, LockRef, Method, Stmt, Type};
 
-use crate::value::Value;
+use crate::value::{CExpr, Value};
 
 /// Index of a lock within a compiled component. Lock 0 is always `this`.
 pub type LockIdx = usize;
@@ -51,22 +57,22 @@ pub enum Instr {
     },
     /// Assign the value of an expression to a field.
     StoreField {
-        /// Field name.
-        name: String,
+        /// Field slot.
+        field: usize,
         /// Right-hand side.
-        value: Expr,
+        value: CExpr,
     },
     /// Assign the value of an expression to a local.
     StoreLocal {
-        /// Local name.
-        name: String,
+        /// Local slot.
+        local: usize,
         /// Right-hand side.
-        value: Expr,
+        value: CExpr,
     },
     /// Evaluate `cond`; jump to `target` when it is false.
     JumpIfFalse {
         /// The condition.
-        cond: Expr,
+        cond: CExpr,
         /// Instruction index to jump to.
         target: usize,
     },
@@ -79,7 +85,7 @@ pub enum Instr {
     /// thread's return register.
     EvalRet {
         /// The value expression, if the method returns one.
-        value: Option<Expr>,
+        value: Option<CExpr>,
     },
     /// Finish the method call. The return register holds the result.
     Ret,
@@ -87,8 +93,8 @@ pub enum Instr {
 
 /// True when `e` is a literal the evaluator cannot fail on and that reads
 /// no shared fields.
-fn is_literal(e: &Expr) -> bool {
-    matches!(e, Expr::Int(_) | Expr::Bool(_) | Expr::Str(_))
+fn is_literal(e: &CExpr) -> bool {
+    matches!(e, CExpr::Lit(_))
 }
 
 impl Instr {
@@ -109,7 +115,7 @@ impl Instr {
             // read fields or fault on a type error, both of which are
             // visible to other threads or to the verdict.
             Instr::JumpIfFalse {
-                cond: Expr::Bool(_),
+                cond: CExpr::Lit(Value::Bool(_)),
                 ..
             } => true,
             _ => false,
@@ -124,6 +130,9 @@ pub struct CompiledMethod {
     pub name: String,
     /// Parameter names in order (values supplied per call).
     pub params: Vec<String>,
+    /// Local slot names: the parameters in order (they take slots
+    /// `0..params.len()`), then every other local the body names.
+    pub locals: Vec<String>,
     /// Parameter types in order.
     pub param_types: Vec<Type>,
     /// Declared return type.
@@ -139,8 +148,13 @@ pub struct CompiledMethod {
 pub struct CompiledComponent {
     /// Component name.
     pub name: String,
-    /// Initial field values (field name → value).
+    /// Initial field values (field name → value); field slot `i` is
+    /// `fields[i]`.
     pub fields: Vec<(String, Value)>,
+    /// Field slot names: the declared fields in order, then any field
+    /// the methods name without a declaration (only an unvalidated
+    /// component has one), which starts unassigned.
+    pub field_names: Vec<String>,
     /// Lock names; index 0 is `this`.
     pub locks: Vec<String>,
     /// Compiled methods in declaration order.
@@ -156,6 +170,62 @@ impl CompiledComponent {
     /// Index of a method by name.
     pub fn method_index(&self, name: &str) -> Option<usize> {
         self.methods.iter().position(|m| m.name == name)
+    }
+
+    /// The slot a field name resolves to (the last declaration wins, as
+    /// for a map built from the declarations in order).
+    pub(crate) fn field_slot(&self, name: &str) -> Option<usize> {
+        self.field_names.iter().rposition(|n| n == name)
+    }
+}
+
+/// A name → slot table, in first-seen order. Declaring a name again gives
+/// it a new slot, and lookups find the newest.
+#[derive(Debug, Default)]
+pub(crate) struct Slots {
+    /// Slot names, by slot.
+    pub(crate) names: Vec<String>,
+    index: HashMap<String, usize>,
+}
+
+impl Slots {
+    /// Give `name` a new slot.
+    pub(crate) fn declare(&mut self, name: &str) -> usize {
+        self.names.push(name.to_string());
+        let slot = self.names.len() - 1;
+        self.index.insert(name.to_string(), slot);
+        slot
+    }
+
+    /// The slot of `name`, declaring it on first use.
+    pub(crate) fn slot(&mut self, name: &str) -> usize {
+        match self.index.get(name) {
+            Some(&slot) => slot,
+            None => self.declare(name),
+        }
+    }
+}
+
+/// Resolve `e`'s fields and locals to slots.
+pub(crate) fn resolve_expr(e: &Expr, fields: &mut Slots, locals: &mut Slots) -> CExpr {
+    match e {
+        Expr::Int(n) => CExpr::Lit(Value::Int(*n)),
+        Expr::Bool(b) => CExpr::Lit(Value::Bool(*b)),
+        Expr::Str(s) => CExpr::Lit(Value::Str(s.clone())),
+        Expr::Var(name) => CExpr::Local(locals.slot(name)),
+        Expr::Field(name) => CExpr::Field(fields.slot(name)),
+        Expr::Unary(op, inner) => CExpr::Unary(*op, Box::new(resolve_expr(inner, fields, locals))),
+        Expr::Binary(op, a, b) => CExpr::Binary(
+            *op,
+            Box::new(resolve_expr(a, fields, locals)),
+            Box::new(resolve_expr(b, fields, locals)),
+        ),
+        Expr::Call(builtin, args) => CExpr::Call(
+            *builtin,
+            args.iter()
+                .map(|a| resolve_expr(a, fields, locals))
+                .collect(),
+        ),
     }
 }
 
@@ -200,20 +270,23 @@ pub fn compile(component: &Component) -> Result<CompiledComponent, CompileError>
         .collect();
 
     let mut fields = Vec::with_capacity(component.fields.len());
+    let mut field_slots = Slots::default();
     for f in &component.fields {
         let value = const_eval(&f.init).ok_or_else(|| CompileError::NonConstantInitializer {
             field: f.name.clone(),
         })?;
         fields.push((f.name.clone(), value));
+        field_slots.declare(&f.name);
     }
 
     let mut methods = Vec::with_capacity(component.methods.len());
     for m in &component.methods {
-        methods.push(compile_method(m, &lock_index)?);
+        methods.push(compile_method(m, &lock_index, &mut field_slots)?);
     }
     Ok(CompiledComponent {
         name: component.name.clone(),
         fields,
+        field_names: field_slots.names,
         locks,
         methods,
     })
@@ -235,6 +308,8 @@ fn const_eval(e: &Expr) -> Option<Value> {
 struct MethodCompiler<'a> {
     code: Vec<Instr>,
     lock_index: &'a HashMap<&'a str, usize>,
+    fields: &'a mut Slots,
+    locals: Slots,
     /// Explicit sync blocks currently open (for compiling `return`).
     sync_stack: Vec<(LockIdx, Vec<usize>)>,
     synchronized: bool,
@@ -255,6 +330,10 @@ impl MethodCompiler<'_> {
     fn emit(&mut self, i: Instr) -> usize {
         self.code.push(i);
         self.code.len() - 1
+    }
+
+    fn expr(&mut self, e: &Expr) -> CExpr {
+        resolve_expr(e, self.fields, &mut self.locals)
     }
 
     fn compile_block(&mut self, block: &Block, path: &mut Vec<usize>) -> Result<(), CompileError> {
@@ -291,31 +370,30 @@ impl MethodCompiler<'_> {
                     path: path.clone(),
                 });
             }
-            Stmt::Assign { target, value } => match target {
-                LValue::Field(name) => {
-                    self.emit(Instr::StoreField {
-                        name: name.clone(),
-                        value: value.clone(),
-                    });
+            Stmt::Assign { target, value } => {
+                let value = self.expr(value);
+                match target {
+                    LValue::Field(name) => {
+                        let field = self.fields.slot(name);
+                        self.emit(Instr::StoreField { field, value });
+                    }
+                    LValue::Local(name) => {
+                        let local = self.locals.slot(name);
+                        self.emit(Instr::StoreLocal { local, value });
+                    }
                 }
-                LValue::Local(name) => {
-                    self.emit(Instr::StoreLocal {
-                        name: name.clone(),
-                        value: value.clone(),
-                    });
-                }
-            },
+            }
             Stmt::Local { name, init, .. } => {
-                self.emit(Instr::StoreLocal {
-                    name: name.clone(),
-                    value: init.clone(),
-                });
+                let value = self.expr(init);
+                let local = self.locals.slot(name);
+                self.emit(Instr::StoreLocal { local, value });
             }
             Stmt::Skip => {}
             Stmt::While { cond, body } => {
                 let header = self.code.len();
+                let cond = self.expr(cond);
                 let jif = self.emit(Instr::JumpIfFalse {
-                    cond: cond.clone(),
+                    cond,
                     target: usize::MAX,
                 });
                 self.compile_block(body, path)?;
@@ -330,8 +408,9 @@ impl MethodCompiler<'_> {
                 then_branch,
                 else_branch,
             } => {
+                let cond = self.expr(cond);
                 let jif = self.emit(Instr::JumpIfFalse {
-                    cond: cond.clone(),
+                    cond,
                     target: usize::MAX,
                 });
                 self.compile_block(then_branch, path)?;
@@ -374,9 +453,8 @@ impl MethodCompiler<'_> {
                 });
             }
             Stmt::Return(value) => {
-                self.emit(Instr::EvalRet {
-                    value: value.clone(),
-                });
+                let value = value.as_ref().map(|v| self.expr(v));
+                self.emit(Instr::EvalRet { value });
                 // Release explicit blocks inner → outer, then the method
                 // monitor, then finish.
                 let exits: Vec<(LockIdx, Vec<usize>)> =
@@ -400,10 +478,17 @@ impl MethodCompiler<'_> {
 fn compile_method(
     method: &Method,
     lock_index: &HashMap<&str, usize>,
+    fields: &mut Slots,
 ) -> Result<CompiledMethod, CompileError> {
+    let mut locals = Slots::default();
+    for p in &method.params {
+        locals.declare(&p.name);
+    }
     let mut mc = MethodCompiler {
         code: Vec::new(),
         lock_index,
+        fields,
+        locals,
         sync_stack: Vec::new(),
         synchronized: method.synchronized,
     };
@@ -421,6 +506,7 @@ fn compile_method(
     Ok(CompiledMethod {
         name: method.name.clone(),
         params: method.params.iter().map(|p| p.name.clone()).collect(),
+        locals: mc.locals.names,
         param_types: method.params.iter().map(|p| p.ty).collect(),
         ret: method.ret,
         synchronized: method.synchronized,

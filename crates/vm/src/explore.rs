@@ -288,7 +288,7 @@ fn key_of(vm: &Vm, groups: &[Vec<usize>]) -> u64 {
 
 #[allow(clippy::too_many_arguments)]
 fn dfs(
-    vm: Vm,
+    mut vm: Vm,
     depth: usize,
     config: &ExploreConfig,
     groups: &[Vec<usize>],
@@ -340,7 +340,7 @@ fn dfs(
         // current path, where postponing the other threads forever could
         // hide them behind a local loop (the cycle proviso).
         if let Some(&cand) = runnable.iter().find(|&&i| vm.is_local_step(i)) {
-            let mut next = vm.clone();
+            let mut next = vm.branch();
             next.step(cand);
             let key = key_of(&next, groups);
             if on_path.contains(&key) {
@@ -356,7 +356,7 @@ fn dfs(
         }
     }
     for t in runnable {
-        let mut next = vm.clone();
+        let mut next = vm.branch();
         next.step(t);
         let key = key_of(&next, groups);
         visit(

@@ -41,7 +41,7 @@ pub use explore::{
 };
 pub use jcc_petri::Parallelism;
 pub use machine::{
-    CallResult, CallSpec, RunConfig, RunOutcome, Scheduler, ThreadSpec, Verdict, Vm,
+    CallRecord, CallResult, CallSpec, RunConfig, RunOutcome, Scheduler, ThreadSpec, Verdict, Vm,
 };
 pub use timeline::timeline_of_outcome;
 pub use trace::{TraceEvent, TraceEventKind};

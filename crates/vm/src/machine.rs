@@ -1,7 +1,6 @@
 //! The virtual machine: logical threads executing compiled components under
 //! a pluggable scheduler, with full trace recording.
 
-use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -38,8 +37,8 @@ fn transition_counter(t: Transition) -> &'static jcc_obs::Counter {
     };
     &counters[idx]
 }
-use crate::trace::{TraceEvent, TraceEventKind};
-use crate::value::{eval, Env, Value};
+use crate::trace::{TraceEvent, TraceEventKind, TraceLog};
+use crate::value::{eval, CExpr, Env, Value};
 
 /// One method call a logical thread will perform.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -86,6 +85,27 @@ impl CallResult {
     /// True if the call never completed within the run.
     pub fn suspended(&self) -> bool {
         self.completed_step.is_none()
+    }
+}
+
+/// A call's progress as the VM keeps it: a [`CallResult`] without the
+/// method name, which is always the one its [`CallSpec`] names.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct CallRecord {
+    /// Step at which the call began.
+    pub started_step: usize,
+    /// Step at which the call returned (`None` = not yet, or never).
+    pub completed_step: Option<usize>,
+    /// Returned value, if the method returned one and completed.
+    pub returned: Option<Value>,
+}
+
+impl CallRecord {
+    /// The observable part the state key covers: whether the call
+    /// completed and what it returned (step counters excluded).
+    fn hash_observable(&self, h: &mut impl Hasher) {
+        self.completed_step.is_some().hash(h);
+        self.returned.hash(h);
     }
 }
 
@@ -204,7 +224,8 @@ enum Status {
 struct Frame {
     method_idx: usize,
     pc: usize,
-    locals: BTreeMap<String, Value>,
+    /// By slot, as [`crate::compile::CompiledMethod::locals`] names them.
+    locals: Vec<Option<Value>>,
     ret_reg: Option<Value>,
 }
 
@@ -223,21 +244,23 @@ struct LockState {
     wait_set: Vec<usize>,
 }
 
-/// The virtual machine. Clone it to snapshot the whole execution state
-/// (used by the exhaustive explorer). The compiled component and thread
-/// specs are immutable for the life of the machine and shared behind
-/// `Arc`s, so a snapshot copies only the mutable state (fields, locks,
-/// frames, trace) — the explorer clones a `Vm` per branch, and those
-/// clones dominated its profile before the sharing.
+/// The virtual machine. Clone it to snapshot the whole execution state;
+/// the exhaustive explorer snapshots through [`branch`](Vm::branch). The
+/// compiled component and thread specs are immutable for the life of the
+/// machine and shared behind `Arc`s. Fields and frame locals are slot
+/// vectors, and the trace is a shared-prefix log, so a snapshot taken
+/// through `branch` copies only the small mutable state (field and local
+/// values, locks, thread states, call records), whatever the path depth.
 #[derive(Debug, Clone)]
 pub struct Vm {
     component: Arc<CompiledComponent>,
     specs: Arc<[ThreadSpec]>,
-    fields: BTreeMap<String, Value>,
+    /// By slot, as [`CompiledComponent::field_names`] names them.
+    fields: Vec<Option<Value>>,
     locks: Vec<LockState>,
     threads: Vec<ThreadState>,
-    trace: Vec<TraceEvent>,
-    results: Vec<Vec<CallResult>>,
+    trace: TraceLog,
+    results: Vec<Vec<CallRecord>>,
     steps: usize,
     fault: Option<(usize, String)>,
     last_scheduled: usize,
@@ -251,7 +274,9 @@ pub struct Vm {
 impl Vm {
     /// Create a VM over `component` with the given logical threads.
     pub fn new(component: CompiledComponent, threads: Vec<ThreadSpec>) -> Self {
-        let fields = component.fields.iter().cloned().collect();
+        let fields = (0..component.field_names.len())
+            .map(|slot| component.fields.get(slot).map(|(_, v)| v.clone()))
+            .collect();
         let locks = component
             .locks
             .iter()
@@ -277,7 +302,7 @@ impl Vm {
             fields,
             locks,
             threads: thread_states,
-            trace: Vec::new(),
+            trace: TraceLog::default(),
             results,
             steps: 0,
             fault: None,
@@ -303,12 +328,30 @@ impl Vm {
 
     /// Current shared field values (for assertions in tests).
     pub fn field(&self, name: &str) -> Option<&Value> {
-        self.fields.get(name)
+        self.fields[self.component.field_slot(name)?].as_ref()
     }
 
-    /// The trace so far.
-    pub fn trace(&self) -> &[TraceEvent] {
-        &self.trace
+    /// The trace so far, in order. The events are read in place, from
+    /// the prefix shared with other [branches](Self::branch) and then
+    /// this VM's own; nothing is copied.
+    pub fn trace(&self) -> impl Iterator<Item = &TraceEvent> + '_ {
+        self.trace.iter()
+    }
+
+    /// Per thread, the calls begun so far, in order: call `k` of thread
+    /// `t` is `specs[t].calls[k]`.
+    pub fn call_records(&self) -> &[Vec<CallRecord>] {
+        &self.results
+    }
+
+    /// Snapshot the VM for one branch of a search: seal the events of the
+    /// steps since the last branch into a segment the snapshot shares,
+    /// then clone. The explorers call this once per expanded state;
+    /// [`run`](Self::run) never does, since one linear run has nothing to
+    /// share.
+    pub fn branch(&mut self) -> Vm {
+        self.trace.seal();
+        self.clone()
     }
 
     /// Indices of threads that can take a step right now.
@@ -371,16 +414,16 @@ impl Vm {
         self.locks.hash(&mut h);
         self.threads.hash(&mut h);
         self.last_marker.hash(&mut h);
-        // The observable projection of the call results (method, completed,
+        // The observable projection of the call results (completed,
         // returned value) is part of the state: two paths that reach the
         // same machine configuration but with different values already
         // returned to callers must not be merged, or signature enumeration
-        // would under-approximate. Step counters are deliberately excluded.
+        // would under-approximate. Step counters are deliberately excluded;
+        // the method is the spec's, so the count of calls stands for it.
         for calls in &self.results {
+            calls.len().hash(&mut h);
             for call in calls {
-                call.method.hash(&mut h);
-                call.completed_step.is_some().hash(&mut h);
-                call.returned.hash(&mut h);
+                call.hash_observable(&mut h);
             }
         }
         h.finish()
@@ -414,10 +457,9 @@ impl Vm {
         let mut h = FxHasher::default();
         self.threads[i].hash(&mut h);
         self.last_marker[i].hash(&mut h);
+        self.results[i].len().hash(&mut h);
         for call in &self.results[i] {
-            call.method.hash(&mut h);
-            call.completed_step.is_some().hash(&mut h);
-            call.returned.hash(&mut h);
+            call.hash_observable(&mut h);
         }
         for lock in &self.locks {
             (lock.owner == Some(i)).hash(&mut h);
@@ -467,10 +509,9 @@ impl Vm {
         for &old in &new_at {
             self.threads[old].hash(&mut h);
             self.last_marker[old].hash(&mut h);
+            self.results[old].len().hash(&mut h);
             for call in &self.results[old] {
-                call.method.hash(&mut h);
-                call.completed_step.is_some().hash(&mut h);
-                call.returned.hash(&mut h);
+                call.hash_observable(&mut h);
             }
         }
         h.finish()
@@ -523,7 +564,8 @@ impl Vm {
     }
 
     fn begin_call(&mut self, idx: usize) {
-        let call = self.specs[idx].calls[self.threads[idx].call_idx].clone();
+        let specs = Arc::clone(&self.specs);
+        let call = &specs[idx].calls[self.threads[idx].call_idx];
         let Some(mi) = self.component.method_index(&call.method) else {
             self.fault_thread(idx, format!("no such method `{}`", call.method));
             return;
@@ -541,20 +583,16 @@ impl Vm {
             );
             return;
         }
-        let locals: BTreeMap<String, Value> = method
-            .params
-            .iter()
-            .cloned()
-            .zip(call.args.iter().cloned())
-            .collect();
+        // Parameters take the first slots, in order.
+        let mut locals: Vec<Option<Value>> = call.args.iter().cloned().map(Some).collect();
+        locals.resize(method.locals.len(), None);
         self.emit(
             idx,
             TraceEventKind::MethodStart {
                 method: call.method.clone(),
             },
         );
-        self.results[idx].push(CallResult {
-            method: call.method.clone(),
+        self.results[idx].push(CallRecord {
             started_step: self.steps,
             completed_step: None,
             returned: None,
@@ -619,17 +657,18 @@ impl Vm {
         self.component.methods[frame.method_idx].name.clone()
     }
 
-    fn eval_in_frame(&mut self, idx: usize, expr: &jcc_model::ast::Expr) -> Option<Value> {
+    fn eval_in_frame(&mut self, idx: usize, expr: &CExpr) -> Option<Value> {
         // Log field reads for the race detectors.
-        let mut reads = Vec::new();
-        collect_field_reads(expr, &mut reads);
-        for field in reads {
+        expr.for_each_field(&mut |slot| {
+            let field = self.component.field_names[slot].clone();
             self.emit(idx, TraceEventKind::FieldRead { field });
-        }
+        });
         let frame = self.threads[idx].frame.as_ref().expect("running frame");
         let env = Env {
             fields: &self.fields,
+            field_names: &self.component.field_names,
             locals: &frame.locals,
+            local_names: &self.component.methods[frame.method_idx].locals,
         };
         match eval(expr, &env) {
             Ok(v) => Some(v),
@@ -796,17 +835,22 @@ impl Vm {
                 }
                 self.advance(idx);
             }
-            Instr::StoreField { name, value } => {
+            Instr::StoreField { field, value } => {
                 if let Some(v) = self.eval_in_frame(idx, value) {
-                    self.emit(idx, TraceEventKind::FieldWrite { field: name.clone() });
-                    self.fields.insert(name.clone(), v);
+                    self.emit(
+                        idx,
+                        TraceEventKind::FieldWrite {
+                            field: component.field_names[*field].clone(),
+                        },
+                    );
+                    self.fields[*field] = Some(v);
                     self.advance(idx);
                 }
             }
-            Instr::StoreLocal { name, value } => {
+            Instr::StoreLocal { local, value } => {
                 if let Some(v) = self.eval_in_frame(idx, value) {
                     let frame = self.threads[idx].frame.as_mut().expect("running frame");
-                    frame.locals.insert(name.clone(), v);
+                    frame.locals[*local] = Some(v);
                     self.advance(idx);
                 }
             }
@@ -901,7 +945,7 @@ impl Vm {
 
     /// Package the current state as a [`RunOutcome`] with the given verdict
     /// (used by the explorer to produce witnesses).
-    pub fn into_outcome(mut self, verdict: Verdict) -> RunOutcome {
+    pub fn into_outcome(self, verdict: Verdict) -> RunOutcome {
         self.finish(verdict)
     }
 
@@ -957,12 +1001,29 @@ impl Vm {
         self.finish(Verdict::StepLimit)
     }
 
-    fn finish(&mut self, verdict: Verdict) -> RunOutcome {
+    fn finish(&self, verdict: Verdict) -> RunOutcome {
+        let results = self
+            .results
+            .iter()
+            .zip(self.specs.iter())
+            .map(|(records, spec)| {
+                records
+                    .iter()
+                    .zip(&spec.calls)
+                    .map(|(r, call)| CallResult {
+                        method: call.method.clone(),
+                        started_step: r.started_step,
+                        completed_step: r.completed_step,
+                        returned: r.returned.clone(),
+                    })
+                    .collect()
+            })
+            .collect();
         RunOutcome {
             verdict,
             steps: self.steps,
-            trace: self.trace.clone(),
-            results: self.results.clone(),
+            trace: self.trace.iter().cloned().collect(),
+            results,
             thread_names: self.specs.iter().map(|s| s.name.clone()).collect(),
             lock_names: self.component.locks.clone(),
         }
@@ -976,24 +1037,6 @@ fn marker_hash(method: &str, path: Option<&Vec<usize>>, exit: bool, tag: u8) -> 
     path.hash(&mut h);
     exit.hash(&mut h);
     h.finish()
-}
-
-fn collect_field_reads(expr: &jcc_model::ast::Expr, out: &mut Vec<String>) {
-    use jcc_model::ast::Expr as E;
-    match expr {
-        E::Field(name) => out.push(name.clone()),
-        E::Unary(_, e) => collect_field_reads(e, out),
-        E::Binary(_, a, b) => {
-            collect_field_reads(a, out);
-            collect_field_reads(b, out);
-        }
-        E::Call(_, args) => {
-            for a in args {
-                collect_field_reads(a, out);
-            }
-        }
-        _ => {}
-    }
 }
 
 #[cfg(test)]
@@ -1398,6 +1441,95 @@ mod tests {
             transitions,
             vec![Transition::T1, Transition::T2, Transition::T4]
         );
+    }
+
+    /// Step `vm` to a terminal state, preferring thread `prefer` and
+    /// branching (and dropping the branch) before every step, as the
+    /// explorers do. Appends the threads stepped to `schedule`.
+    fn run_branching(mut vm: Vm, prefer: usize, schedule: &mut Vec<usize>) -> RunOutcome {
+        loop {
+            if let Some(verdict) = vm.current_verdict() {
+                return vm.into_outcome(verdict);
+            }
+            drop(vm.branch());
+            let runnable = vm.runnable();
+            let t = if runnable.contains(&prefer) {
+                prefer
+            } else {
+                runnable[0]
+            };
+            schedule.push(t);
+            vm.step(t);
+        }
+    }
+
+    #[test]
+    fn branches_stay_isolated() {
+        let threads = vec![
+            spec("c", vec![CallSpec::new("receive", vec![]); 2]),
+            spec(
+                "p",
+                vec![CallSpec::new("send", vec![Value::Str("ab".into())])],
+            ),
+            spec("c2", vec![CallSpec::new("receive", vec![])]),
+        ];
+        let mut vm = pc_vm(threads.clone());
+        let mut prefix = Vec::new();
+        for t in [1, 1, 0, 1, 0, 2] {
+            drop(vm.branch());
+            vm.step(t);
+            prefix.push(t);
+        }
+        let a = vm.branch();
+        let b = vm.branch();
+        drop(vm);
+        let mut traces = Vec::new();
+        for (copy, prefer) in [(a, 0), (b, 2)] {
+            let mut schedule = prefix.clone();
+            let got = run_branching(copy, prefer, &mut schedule);
+            let want = pc_vm(threads.clone()).run(&RunConfig {
+                scheduler: Scheduler::Fixed(schedule.clone()),
+                max_steps: 20_000,
+            });
+            assert_eq!(got.trace, want.trace, "prefer {prefer}: {schedule:?}");
+            assert_eq!(got.results, want.results, "prefer {prefer}");
+            assert_eq!(got.verdict, want.verdict, "prefer {prefer}");
+            assert_eq!(got.steps, want.steps, "prefer {prefer}");
+            traces.push(got.trace);
+        }
+        assert_ne!(traces[0], traces[1], "the copies took different schedules");
+    }
+
+    #[test]
+    fn deep_branch_chains_drop_without_recursion() {
+        // Every loop turn reads and writes a field, so each step between
+        // branches seals a segment: a chain thousands of segments long.
+        let src = r#"
+            class S {
+              var n: int = 0;
+              synchronized fn spin() { while (true) { n = n + 1; } }
+            }
+        "#;
+        let c = jcc_model::parse_component(src).unwrap();
+        let compiled = compile(&c).unwrap();
+        let dropper = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || {
+                let mut vm = Vm::new(
+                    compiled,
+                    vec![spec("t", vec![CallSpec::new("spin", vec![])])],
+                );
+                for _ in 0..20_000 {
+                    vm = vm.branch();
+                    vm.step(0);
+                }
+                assert_eq!(vm.steps(), 20_000);
+                drop(vm);
+            })
+            .unwrap();
+        dropper
+            .join()
+            .expect("dropping a deep chain must not overflow the stack");
     }
 
     #[test]

@@ -1,4 +1,7 @@
-//! VM trace events and their conversion to CoFG coverage markers.
+//! VM trace events, the shared-prefix log a VM keeps them in, and their
+//! conversion to CoFG coverage markers.
+
+use std::sync::Arc;
 
 use jcc_cofg::coverage::{CoverageTracker, Marker, SiteId};
 use jcc_model::ast::StmtPath;
@@ -71,9 +74,76 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
 }
 
+/// A VM's trace as a shared-prefix log: a chain of sealed segments that VM
+/// snapshots share, plus the open buffer of events since the last seal.
+/// Cloning copies only the open buffer, so after [`seal`](Self::seal) a
+/// snapshot costs the same at any depth.
+#[derive(Clone, Default)]
+pub(crate) struct TraceLog {
+    sealed: Option<Arc<Segment>>,
+    open: Vec<TraceEvent>,
+}
+
+/// One sealed run of events, linked to the segment sealed before it.
+struct Segment {
+    events: Vec<TraceEvent>,
+    parent: Option<Arc<Segment>>,
+}
+
+impl Drop for Segment {
+    /// Unlink the chain iteratively: the default drop would recurse once
+    /// per segment, and a chain is as long as the deepest path.
+    fn drop(&mut self) {
+        let mut next = self.parent.take();
+        while let Some(segment) = next {
+            next = match Arc::try_unwrap(segment) {
+                Ok(mut owned) => owned.parent.take(),
+                Err(_) => None,
+            };
+        }
+    }
+}
+
+impl TraceLog {
+    /// Append an event to the open buffer.
+    pub(crate) fn push(&mut self, event: TraceEvent) {
+        self.open.push(event);
+    }
+
+    /// Move the open buffer into a new shared segment.
+    pub(crate) fn seal(&mut self) {
+        if self.open.is_empty() {
+            return;
+        }
+        let events = std::mem::take(&mut self.open);
+        let parent = self.sealed.take();
+        self.sealed = Some(Arc::new(Segment { events, parent }));
+    }
+
+    /// The whole event sequence in order, read in place.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &TraceEvent> + '_ {
+        let mut segments = Vec::new();
+        let mut cur = self.sealed.as_ref();
+        while let Some(segment) = cur {
+            segments.push(segment.events.as_slice());
+            cur = segment.parent.as_ref();
+        }
+        segments.into_iter().rev().flatten().chain(&self.open)
+    }
+}
+
+impl std::fmt::Debug for TraceLog {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Fold a trace into a CoFG coverage tracker. Thread indices become
 /// tracker thread ids directly.
-pub fn apply_trace(trace: &[TraceEvent], tracker: &mut CoverageTracker) {
+pub fn apply_trace<'a>(
+    trace: impl IntoIterator<Item = &'a TraceEvent>,
+    tracker: &mut CoverageTracker,
+) {
     for event in trace {
         let thread = event.thread as u64;
         match &event.kind {

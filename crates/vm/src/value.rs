@@ -1,9 +1,8 @@
 //! Runtime values and expression evaluation.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
-use jcc_model::ast::{BinOp, Builtin, Expr, Type, UnOp};
+use jcc_model::ast::{BinOp, Builtin, Type, UnOp};
 
 /// A runtime value of the Monitor IR.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -96,32 +95,71 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// The variable environment an expression is evaluated in.
+/// An expression whose variables were resolved to slots at compile time
+/// (see [`crate::compile`]): what the VM evaluates. The slot tables keep
+/// the names, for error messages and trace events.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CExpr {
+    /// A literal.
+    Lit(Value),
+    /// A local or parameter of the executing frame, by slot.
+    Local(usize),
+    /// A component field, by slot.
+    Field(usize),
+    /// Unary operator.
+    Unary(UnOp, Box<CExpr>),
+    /// Binary operator.
+    Binary(BinOp, Box<CExpr>, Box<CExpr>),
+    /// Builtin call.
+    Call(Builtin, Vec<CExpr>),
+}
+
+impl CExpr {
+    /// Visit the field slots this expression reads, in evaluation order
+    /// (left to right, depth first) — the order the VM logs them.
+    pub(crate) fn for_each_field(&self, f: &mut impl FnMut(usize)) {
+        match self {
+            CExpr::Field(slot) => f(*slot),
+            CExpr::Unary(_, e) => e.for_each_field(f),
+            CExpr::Binary(_, a, b) => {
+                a.for_each_field(f);
+                b.for_each_field(f);
+            }
+            CExpr::Call(_, args) => {
+                for a in args {
+                    a.for_each_field(f);
+                }
+            }
+            CExpr::Lit(_) | CExpr::Local(_) => {}
+        }
+    }
+}
+
+/// The variable environment an expression is evaluated in. A `None` slot
+/// is a variable not (yet) assigned; reading it is a runtime error.
 #[derive(Debug)]
 pub struct Env<'a> {
-    /// Component fields (shared state).
-    pub fields: &'a BTreeMap<String, Value>,
-    /// Locals and parameters of the executing frame.
-    pub locals: &'a BTreeMap<String, Value>,
+    /// Component fields (shared state), by slot.
+    pub fields: &'a [Option<Value>],
+    /// Field names, by slot.
+    pub field_names: &'a [String],
+    /// Locals and parameters of the executing frame, by slot.
+    pub locals: &'a [Option<Value>],
+    /// Local names, by slot.
+    pub local_names: &'a [String],
 }
 
 /// Evaluate `expr` in `env`.
-pub fn eval(expr: &Expr, env: &Env<'_>) -> Result<Value, EvalError> {
+pub fn eval(expr: &CExpr, env: &Env<'_>) -> Result<Value, EvalError> {
     match expr {
-        Expr::Int(n) => Ok(Value::Int(*n)),
-        Expr::Bool(b) => Ok(Value::Bool(*b)),
-        Expr::Str(s) => Ok(Value::Str(s.clone())),
-        Expr::Var(name) => env
-            .locals
-            .get(name)
-            .cloned()
-            .ok_or_else(|| EvalError::new(format!("undefined local `{name}`"))),
-        Expr::Field(name) => env
-            .fields
-            .get(name)
-            .cloned()
-            .ok_or_else(|| EvalError::new(format!("undefined field `{name}`"))),
-        Expr::Unary(op, e) => {
+        CExpr::Lit(v) => Ok(v.clone()),
+        CExpr::Local(slot) => env.locals[*slot]
+            .clone()
+            .ok_or_else(|| EvalError::new(format!("undefined local `{}`", env.local_names[*slot]))),
+        CExpr::Field(slot) => env.fields[*slot]
+            .clone()
+            .ok_or_else(|| EvalError::new(format!("undefined field `{}`", env.field_names[*slot]))),
+        CExpr::Unary(op, e) => {
             let v = eval(e, env)?;
             match op {
                 UnOp::Neg => Ok(Value::Int(
@@ -132,8 +170,8 @@ pub fn eval(expr: &Expr, env: &Env<'_>) -> Result<Value, EvalError> {
                 UnOp::Not => Ok(Value::Bool(!v.as_bool()?)),
             }
         }
-        Expr::Binary(op, a, b) => eval_binary(*op, a, b, env),
-        Expr::Call(builtin, args) => {
+        CExpr::Binary(op, a, b) => eval_binary(*op, a, b, env),
+        CExpr::Call(builtin, args) => {
             let mut vals = Vec::with_capacity(args.len());
             for a in args {
                 vals.push(eval(a, env)?);
@@ -143,7 +181,7 @@ pub fn eval(expr: &Expr, env: &Env<'_>) -> Result<Value, EvalError> {
     }
 }
 
-fn eval_binary(op: BinOp, a: &Expr, b: &Expr, env: &Env<'_>) -> Result<Value, EvalError> {
+fn eval_binary(op: BinOp, a: &CExpr, b: &CExpr, env: &Env<'_>) -> Result<Value, EvalError> {
     // Short-circuit operators first.
     match op {
         BinOp::And => {
@@ -222,15 +260,41 @@ fn eval_builtin(builtin: Builtin, args: &[Value]) -> Result<Value, EvalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jcc_model::ast::Builtin;
+    use crate::compile::{resolve_expr, Slots};
+    use jcc_model::ast::{Builtin, Expr};
 
-    fn env_empty() -> (BTreeMap<String, Value>, BTreeMap<String, Value>) {
-        (BTreeMap::new(), BTreeMap::new())
+    /// Resolve `expr` against the given fields and locals (names it uses
+    /// beyond those get unassigned slots) and evaluate it.
+    fn ev_in(
+        expr: &Expr,
+        fields: &[(&str, Value)],
+        locals: &[(&str, Value)],
+    ) -> Result<Value, EvalError> {
+        let (mut fs, mut ls) = (Slots::default(), Slots::default());
+        let mut fv: Vec<Option<Value>> = Vec::new();
+        for (name, v) in fields {
+            fs.declare(name);
+            fv.push(Some(v.clone()));
+        }
+        let mut lv: Vec<Option<Value>> = Vec::new();
+        for (name, v) in locals {
+            ls.declare(name);
+            lv.push(Some(v.clone()));
+        }
+        let c = resolve_expr(expr, &mut fs, &mut ls);
+        fv.resize(fs.names.len(), None);
+        lv.resize(ls.names.len(), None);
+        let env = Env {
+            fields: &fv,
+            field_names: &fs.names,
+            locals: &lv,
+            local_names: &ls.names,
+        };
+        eval(&c, &env)
     }
 
     fn ev(expr: &Expr) -> Result<Value, EvalError> {
-        let (f, l) = env_empty();
-        eval(expr, &Env { fields: &f, locals: &l })
+        ev_in(expr, &[], &[])
     }
 
     #[test]
@@ -294,22 +358,18 @@ mod tests {
 
     #[test]
     fn fields_and_locals_resolve() {
-        let mut fields = BTreeMap::new();
-        fields.insert("f".to_string(), Value::Int(10));
-        let mut locals = BTreeMap::new();
-        locals.insert("x".to_string(), Value::Int(32));
-        let env = Env {
-            fields: &fields,
-            locals: &locals,
-        };
+        let fields = [("f", Value::Int(10))];
+        let locals = [("x", Value::Int(32))];
         let e = Expr::Binary(
             BinOp::Add,
             Box::new(Expr::Field("f".into())),
             Box::new(Expr::Var("x".into())),
         );
-        assert_eq!(eval(&e, &env).unwrap(), Value::Int(42));
-        assert!(eval(&Expr::Var("ghost".into()), &env).is_err());
-        assert!(eval(&Expr::Field("ghost".into()), &env).is_err());
+        assert_eq!(ev_in(&e, &fields, &locals).unwrap(), Value::Int(42));
+        let ghost = ev_in(&Expr::Var("ghost".into()), &fields, &locals).unwrap_err();
+        assert_eq!(ghost.message, "undefined local `ghost`");
+        let ghost = ev_in(&Expr::Field("ghost".into()), &fields, &locals).unwrap_err();
+        assert_eq!(ghost.message, "undefined field `ghost`");
     }
 
     #[test]
