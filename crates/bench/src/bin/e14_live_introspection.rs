@@ -6,6 +6,8 @@
 //! The claim under test: watching a run live is free enough to leave on.
 //! Three interleaved rounds, best-of-three each way (the e8/e12 defence
 //! against one-off scheduler noise), with both arms warmed untimed first.
+//! Each round times the off arm twice, before and after the live arm; the
+//! A/A gap between the two off bests is reported as the noise floor.
 //! The off arm still records at `summary` level — the subtraction isolates
 //! what the *live* additions (tree + mirror + sampler + heartbeat +
 //! progress publication) cost on top of ordinary metrics. Acceptance: the
@@ -15,7 +17,7 @@
 use std::time::{Duration, Instant};
 
 use jcc_core::obs;
-use jcc_core::petri::{JavaNet, Parallelism, ReachGraph, ReachLimits};
+use jcc_core::petri::{JavaNet, ReachGraph, ReachLimits};
 
 fn main() {
     let mut reporter = obs::BenchReporter::init("e14_live_introspection");
@@ -38,22 +40,19 @@ fn main() {
     const REPS: usize = 5;
     let n = 7;
     let j = JavaNet::new(n);
-    let seq_limits = ReachLimits {
-        parallelism: Parallelism::sequential(),
-        ..ReachLimits::default()
-    };
+    let limits = ReachLimits::default();
 
     // Warm BOTH arms untimed: whichever arm runs first in a cold process
     // pays allocator/cache warm-up for both (the e8 lesson).
     obs::set_span_tree(false);
     obs::set_progress(false);
-    let warm_off = ReachGraph::explore(j.net(), seq_limits);
+    let warm_off = ReachGraph::explore(j.net(), limits);
     obs::set_span_tree(true);
     obs::set_progress(true);
     let warm_on = {
         let profiler = obs::Profiler::start(Duration::from_millis(5), 0xe14);
         let heartbeat = obs::Heartbeat::start(Duration::from_millis(10), |_| {});
-        let g = ReachGraph::explore(j.net(), seq_limits);
+        let g = ReachGraph::explore(j.net(), limits);
         heartbeat.stop();
         let _ = profiler.stop();
         g
@@ -64,20 +63,25 @@ fn main() {
         "introspection must not change the explored graph"
     );
 
+    // OFF arm: live features disabled, no watcher threads.
+    let time_off = || {
+        obs::set_span_tree(false);
+        obs::set_progress(false);
+        let t0 = Instant::now();
+        let mut g = ReachGraph::explore(j.net(), limits);
+        for _ in 1..REPS {
+            g = ReachGraph::explore(j.net(), limits);
+        }
+        (t0.elapsed().as_secs_f64(), g)
+    };
     let mut best_off = f64::INFINITY;
+    let mut best_off_b = f64::INFINITY;
     let mut best_on = f64::INFINITY;
     let mut on_wall = 0.0f64;
     let mut last_profile = None;
     for _ in 0..3 {
-        // OFF arm: live features disabled, no watcher threads.
-        obs::set_span_tree(false);
-        obs::set_progress(false);
-        let t0 = Instant::now();
-        let mut g_off = ReachGraph::explore(j.net(), seq_limits);
-        for _ in 1..REPS {
-            g_off = ReachGraph::explore(j.net(), seq_limits);
-        }
-        best_off = best_off.min(t0.elapsed().as_secs_f64());
+        let (off_secs, g_off) = time_off();
+        best_off = best_off.min(off_secs);
 
         // ON arm: the whole stack. Profiler/heartbeat start and stop
         // outside the timed region — their *running* cost is the claim,
@@ -90,11 +94,11 @@ fn main() {
         let seg0 = Instant::now();
         let profiler = obs::Profiler::start(Duration::from_millis(5), 0xe14);
         let heartbeat = obs::Heartbeat::start(Duration::from_millis(10), |_| {});
-        let _settle = ReachGraph::explore(j.net(), seq_limits);
+        let _settle = ReachGraph::explore(j.net(), limits);
         let t0 = Instant::now();
-        let mut g_on = ReachGraph::explore(j.net(), seq_limits);
+        let mut g_on = ReachGraph::explore(j.net(), limits);
         for _ in 1..REPS {
-            g_on = ReachGraph::explore(j.net(), seq_limits);
+            g_on = ReachGraph::explore(j.net(), limits);
         }
         best_on = best_on.min(t0.elapsed().as_secs_f64());
         heartbeat.stop();
@@ -109,6 +113,8 @@ fn main() {
             g_on.dead_states(),
             "dead-state sets must agree"
         );
+
+        best_off_b = best_off_b.min(time_off().0);
     }
     obs::set_span_tree(false);
     obs::set_progress(false);
@@ -116,7 +122,8 @@ fn main() {
     let states = warm_off.stats().states;
     let raw_overhead_pct = (best_on - best_off) / best_off.max(1e-9) * 100.0;
     let overhead_pct = raw_overhead_pct.max(0.0);
-    let noise_floor_pct = (-raw_overhead_pct).max(0.0);
+    let noise_floor_pct =
+        (best_off - best_off_b).abs() / best_off.min(best_off_b).max(1e-9) * 100.0;
     say!(
         "--- introspection overhead (petri reach N={n}, {states} states, warmed, best of 3) ---\n\
          off: {best_off:.4}s, live: {best_on:.4}s -> overhead {overhead_pct:.2}% \

@@ -111,40 +111,17 @@ fn main() {
         reporter.write_chrome_trace(&timeline);
     }
 
-    say!("\n--- sequential vs parallel throughput ---");
-    // At least two workers, so the parallel engine is exercised even on a
-    // single-core host (where it can only show its overhead, not a speedup).
-    let threads = Parallelism::available().threads.max(2);
-    let parallel = Parallelism::with_threads(threads);
+    say!("\n--- reachability throughput ---");
     let big = JavaNet::new(6);
     let t0 = Instant::now();
-    let seq = ReachGraph::explore(
-        big.net(),
-        ReachLimits {
-            parallelism: Parallelism::sequential(),
-            ..ReachLimits::default()
-        },
-    );
+    let seq = ReachGraph::explore(big.net(), ReachLimits::default());
     let seq_time = t0.elapsed();
-    let t0 = Instant::now();
-    let par = ReachGraph::explore(
-        big.net(),
-        ReachLimits {
-            parallelism: parallel,
-            ..ReachLimits::default()
-        },
-    );
-    let par_time = t0.elapsed();
-    assert_eq!(seq.stats(), par.stats(), "parallel graph must be identical");
     say!(
-        "petri reachability (N=6, {} states): sequential {:.1?}, parallel x{} {:.1?}",
+        "petri reachability (N=6, {} states): sequential {:.1?}",
         seq.stats().states,
-        seq_time,
-        threads,
-        par_time
+        seq_time
     );
     reporter.set_derived("petri_seq_seconds", seq_time.as_secs_f64());
-    reporter.set_derived("petri_par_seconds", par_time.as_secs_f64());
 
     // --- state-space reduction: ample sets + thread-symmetry quotient ---
     // The same net explored full and reduced. The reduced run reaches the
@@ -155,19 +132,15 @@ fn main() {
         use jcc_core::petri::Reduction;
         let n = 10;
         let j = JavaNet::new(n);
-        let seq_limits = ReachLimits {
-            parallelism: Parallelism::sequential(),
-            ..ReachLimits::default()
-        };
         let t0 = Instant::now();
-        let full = ReachGraph::explore(j.net(), seq_limits);
+        let full = ReachGraph::explore(j.net(), ReachLimits::default());
         let full_secs = t0.elapsed().as_secs_f64().max(1e-9);
         let t0 = Instant::now();
         let reduced = ReachGraph::explore(
             j.net(),
             ReachLimits {
                 reduction: Reduction::full(Some(j.thread_symmetry())),
-                ..seq_limits
+                ..ReachLimits::default()
             },
         );
         let red_secs = t0.elapsed().as_secs_f64().max(1e-9);
@@ -248,22 +221,19 @@ fn main() {
             b.transition(format!("step{i}"), &[places[i]], &[places[(i + 1) % 8]]);
         }
         let ring = b.build().unwrap();
-        let seq_limits = ReachLimits {
-            parallelism: Parallelism::sequential(),
-            ..ReachLimits::default()
-        };
+        let limits = ReachLimits::default();
         // Interleaved best-of-3, the same defence against one-off scheduler
         // and warm-up noise the obs-overhead measurement uses.
         let mut packed_time = f64::INFINITY;
         let mut boxed_time = f64::INFINITY;
-        let mut packed = ReachGraph::explore(&ring, seq_limits);
-        let mut boxed = ReachGraph::explore_boxed(&ring, seq_limits, |_, _| true);
+        let mut packed = ReachGraph::explore(&ring, limits);
+        let mut boxed = ReachGraph::explore_boxed(&ring, limits, |_, _| true);
         for _ in 0..3 {
             let t0 = Instant::now();
-            packed = ReachGraph::explore(&ring, seq_limits);
+            packed = ReachGraph::explore(&ring, limits);
             packed_time = packed_time.min(t0.elapsed().as_secs_f64());
             let t0 = Instant::now();
-            boxed = ReachGraph::explore_boxed(&ring, seq_limits, |_, _| true);
+            boxed = ReachGraph::explore_boxed(&ring, limits, |_, _| true);
             boxed_time = boxed_time.min(t0.elapsed().as_secs_f64());
         }
         assert_eq!(packed.stats(), boxed.stats(), "engines must agree");
@@ -296,6 +266,9 @@ fn main() {
         }
         t
     });
+    // At least two workers, so the portfolio is exercised even on a
+    // single-core host (where it can only show its overhead, not a speedup).
+    let threads = Parallelism::available().threads.max(2);
     let t0 = Instant::now();
     let seq = explore(vm.clone(), &ExploreConfig::default(), None);
     let seq_time = t0.elapsed();
@@ -304,7 +277,7 @@ fn main() {
         vm,
         &PortfolioConfig {
             explore: ExploreConfig {
-                parallelism: parallel,
+                parallelism: Parallelism::with_threads(threads),
                 ..ExploreConfig::default()
             },
             ..PortfolioConfig::default()
@@ -327,17 +300,14 @@ fn main() {
     // against one-off scheduler noise). The acceptance bar for the obs
     // subsystem is < 5% at `summary` level.
     let saved_level = reporter.level();
-    let seq_limits = ReachLimits {
-        parallelism: Parallelism::sequential(),
-        ..ReachLimits::default()
-    };
+    let limits = ReachLimits::default();
     // Warm BOTH arms untimed first: whichever arm runs first in a cold
     // process pays allocator/cache warm-up for both, which used to skew the
     // subtraction negative (the "observed" arm looked *faster* than off).
     jcc_core::obs::set_level(jcc_core::obs::ObsLevel::Off);
-    let warm_off = ReachGraph::explore(big.net(), seq_limits);
+    let warm_off = ReachGraph::explore(big.net(), limits);
     jcc_core::obs::set_level(jcc_core::obs::ObsLevel::Summary);
-    let warm_on = ReachGraph::explore(big.net(), seq_limits);
+    let warm_on = ReachGraph::explore(big.net(), limits);
     assert_eq!(warm_off.stats(), warm_on.stats());
     let mut best_off = f64::INFINITY;
     let mut best_on = f64::INFINITY;
@@ -346,13 +316,13 @@ fn main() {
     for _ in 0..3 {
         jcc_core::obs::set_level(jcc_core::obs::ObsLevel::Off);
         let t0 = Instant::now();
-        let g = ReachGraph::explore(big.net(), seq_limits);
+        let g = ReachGraph::explore(big.net(), limits);
         best_off = best_off.min(t0.elapsed().as_secs_f64());
         states_off = g.stats().states;
 
         jcc_core::obs::set_level(jcc_core::obs::ObsLevel::Summary);
         let t0 = Instant::now();
-        let g = ReachGraph::explore(big.net(), seq_limits);
+        let g = ReachGraph::explore(big.net(), limits);
         best_on = best_on.min(t0.elapsed().as_secs_f64());
         states_on = g.stats().states;
     }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! jcc check   [--deny=high|medium|low] [--format=text|json] [--obs-out=DIR] <paths...>
-//! jcc profile [--threads=K] [--interval-ms=MS] [--expose=PORT] [--obs-out=DIR] <scenario>
+//! jcc profile [--interval-ms=MS] [--expose=PORT] [--obs-out=DIR] <scenario>
 //! ```
 //!
 //! `check` lints real Java sources; paths may be `.java` files or
@@ -31,7 +31,7 @@ use jcc_javasrc::check::{check_paths, CheckOptions, Format};
 
 const USAGE: &str = "\
 usage: jcc check [--deny=high|medium|low] [--format=text|json] [--obs-out=DIR] <paths...>
-       jcc profile [--threads=K] [--interval-ms=MS] [--expose=PORT] [--obs-out=DIR] <scenario>
+       jcc profile [--interval-ms=MS] [--expose=PORT] [--obs-out=DIR] <scenario>
 
 check: lint Java sources with the jcc static concurrency analyzer.
 Paths may be .java files or directories (searched recursively).
@@ -50,7 +50,6 @@ scenarios:
   javanet[:N]            petri reachability of the N-thread Figure-1 net (default N=6)
   producer-consumer[:C]  VM schedule exploration with C consumers (default C=3)
 
-  --threads=K       parallel reachability with K workers (javanet only)
   --interval-ms=MS  heartbeat refresh interval (default 200)
   --expose=PORT     serve Prometheus metrics on 127.0.0.1:PORT during the run
   --obs-out=DIR     write profile_report.json, profile_flame.txt and
@@ -178,8 +177,8 @@ struct ScenarioOutcome {
     states: u64,
 }
 
-fn run_scenario(scenario: &str, threads: usize) -> Result<ScenarioOutcome, String> {
-    use jcc_core::petri::{JavaNet, Parallelism, ReachGraph, ReachLimits};
+fn run_scenario(scenario: &str) -> Result<ScenarioOutcome, String> {
+    use jcc_core::petri::{JavaNet, ReachGraph, ReachLimits};
     use jcc_core::vm::{compile, explore, CallSpec, ExploreConfig, ThreadSpec, Value, Vm};
 
     let (name, param) = match scenario.split_once(':') {
@@ -194,19 +193,8 @@ fn run_scenario(scenario: &str, threads: usize) -> Result<ScenarioOutcome, Strin
                     .map_err(|_| format!("invalid thread count `{p}` in `{scenario}`"))?,
                 None => 6,
             };
-            let parallelism = if threads > 1 {
-                Parallelism::with_threads(threads)
-            } else {
-                Parallelism::sequential()
-            };
             let j = JavaNet::new(n);
-            let g = ReachGraph::explore(
-                j.net(),
-                ReachLimits {
-                    parallelism,
-                    ..ReachLimits::default()
-                },
-            );
+            let g = ReachGraph::explore(j.net(), ReachLimits::default());
             Ok(ScenarioOutcome {
                 what: format!(
                     "petri reachability, JavaNet({n}): {} states, {} edges, {} dead",
@@ -257,17 +245,12 @@ fn run_scenario(scenario: &str, threads: usize) -> Result<ScenarioOutcome, Strin
 }
 
 fn cmd_profile<'a, I: Iterator<Item = &'a String>>(it: I) -> Result<u8, String> {
-    let mut threads = 1usize;
     let mut interval_ms = 200u64;
     let mut expose: Option<u16> = None;
     let mut obs_out: Option<PathBuf> = None;
     let mut scenario: Option<String> = None;
     for arg in it {
-        if let Some(v) = arg.strip_prefix("--threads=") {
-            threads = v
-                .parse()
-                .map_err(|_| format!("invalid --threads `{v}`"))?;
-        } else if let Some(v) = arg.strip_prefix("--interval-ms=") {
+        if let Some(v) = arg.strip_prefix("--interval-ms=") {
             interval_ms = v
                 .parse()
                 .map_err(|_| format!("invalid --interval-ms `{v}`"))?;
@@ -321,7 +304,7 @@ fn cmd_profile<'a, I: Iterator<Item = &'a String>>(it: I) -> Result<u8, String> 
         .name("jcc-profile-worker".to_string())
         .spawn(move || {
             let _reg = obs::register_thread("worker");
-            run_scenario(&scenario_name, threads)
+            run_scenario(&scenario_name)
         })
         .map_err(|e| format!("spawn worker: {e}"))?;
     let outcome = worker.join().map_err(|_| "worker panicked".to_string())??;

@@ -9,6 +9,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use jcc_runtime::online::cycles_of;
+
 use crate::normalize::{MonEvent, MonEventKind};
 
 /// A cycle found in the lock-order graph.
@@ -83,38 +85,9 @@ impl LockOrderGraph {
     /// Find all elementary cycles' node sets (reported once per strongly
     /// connected component with ≥ 2 nodes, or a self-loop).
     pub fn cycles(&self) -> Vec<LockOrderCycle> {
-        // Tarjan-style SCC over the small graph.
-        let nodes: Vec<u64> = self
-            .edges
-            .iter()
-            .flat_map(|(&a, ts)| std::iter::once(a).chain(ts.keys().copied()))
-            .collect::<BTreeSet<_>>()
+        cycles_of(&self.edges)
             .into_iter()
-            .collect();
-        let index_of: BTreeMap<u64, usize> =
-            nodes.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        let n = nodes.len();
-        let adj: Vec<Vec<usize>> = nodes
-            .iter()
-            .map(|a| {
-                self.edges
-                    .get(a)
-                    .map(|ts| ts.keys().map(|b| index_of[b]).collect())
-                    .unwrap_or_default()
-            })
-            .collect();
-
-        let mut sccs = tarjan(n, &adj);
-        sccs.retain(|scc| {
-            scc.len() > 1 || adj[scc[0]].contains(&scc[0]) // self-loop
-        });
-        sccs.into_iter()
-            .map(|mut scc| {
-                scc.sort_unstable();
-                LockOrderCycle {
-                    locks: scc.into_iter().map(|i| nodes[i]).collect(),
-                }
-            })
+            .map(|locks| LockOrderCycle { locks })
             .collect()
     }
 
@@ -123,70 +96,6 @@ impl LockOrderGraph {
     pub fn is_acyclic(&self) -> bool {
         self.cycles().is_empty()
     }
-}
-
-fn tarjan(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    #[derive(Clone, Copy)]
-    struct NodeInfo {
-        index: Option<usize>,
-        lowlink: usize,
-        on_stack: bool,
-    }
-    struct State<'a> {
-        adj: &'a [Vec<usize>],
-        info: Vec<NodeInfo>,
-        stack: Vec<usize>,
-        next_index: usize,
-        sccs: Vec<Vec<usize>>,
-    }
-    fn strongconnect(v: usize, st: &mut State<'_>) {
-        st.info[v].index = Some(st.next_index);
-        st.info[v].lowlink = st.next_index;
-        st.next_index += 1;
-        st.stack.push(v);
-        st.info[v].on_stack = true;
-        for i in 0..st.adj[v].len() {
-            let w = st.adj[v][i];
-            if st.info[w].index.is_none() {
-                strongconnect(w, st);
-                st.info[v].lowlink = st.info[v].lowlink.min(st.info[w].lowlink);
-            } else if st.info[w].on_stack {
-                st.info[v].lowlink = st.info[v].lowlink.min(st.info[w].index.unwrap());
-            }
-        }
-        if Some(st.info[v].lowlink) == st.info[v].index {
-            let mut scc = Vec::new();
-            loop {
-                let w = st.stack.pop().unwrap();
-                st.info[w].on_stack = false;
-                scc.push(w);
-                if w == v {
-                    break;
-                }
-            }
-            st.sccs.push(scc);
-        }
-    }
-    let mut st = State {
-        adj,
-        info: vec![
-            NodeInfo {
-                index: None,
-                lowlink: 0,
-                on_stack: false
-            };
-            n
-        ],
-        stack: Vec::new(),
-        next_index: 0,
-        sccs: Vec::new(),
-    };
-    for v in 0..n {
-        if st.info[v].index.is_none() {
-            strongconnect(v, &mut st);
-        }
-    }
-    st.sccs
 }
 
 #[cfg(test)]

@@ -6,9 +6,10 @@
 //! the `--quiet` flag (suppress human output; the JSON report is still
 //! written) — resets the global registry so the report covers exactly this
 //! run, and starts the wall clock. `finish` snapshots everything into a
-//! [`RunReport`], derives `states_per_sec`, writes `BENCH_<prefix>.json`
-//! (prefix = bin name up to the first `_`, e.g. `BENCH_e8.json`), appends
-//! the JSONL trace at `trace` level, and prints the summary unless quiet.
+//! [`RunReport`], derives `states_per_sec` and `cores`, writes
+//! `BENCH_<prefix>.json` (prefix = bin name up to the first `_`, e.g.
+//! `BENCH_e8.json`), appends the JSONL trace at `trace` level, and prints
+//! the summary unless quiet.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -130,6 +131,9 @@ impl BenchReporter {
         let states =
             report.counter("petri.reach.states") + report.counter("vm.explore.states");
         report.set_derived("states_per_sec", states as f64 / wall.max(1e-9));
+        // The machine class every speed figure in the report came from.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        report.set_derived("cores", cores as f64);
         for (k, v) in &self.derived {
             report.set_derived(k, *v);
         }

@@ -21,8 +21,7 @@
 //! Both representations are *deterministic by construction*: FxHash has no
 //! per-process seed, arena ids are assigned in insertion order, and bucket
 //! candidates are compared in insertion order — so the interleaving-free
-//! sequential engines produce identical ids on every run, and the parallel
-//! engine never relies on store ids for its canonical renumbering.
+//! sequential engines produce identical ids on every run.
 
 use crate::net::{Marking, Net, TransId};
 use crate::reach::ReachLimits;

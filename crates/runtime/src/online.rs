@@ -381,10 +381,11 @@ fn lost_finding(monitor: u64, count: u64) -> OnlineFinding {
     }
 }
 
-/// SCCs (≥ 2 nodes, or a self-loop) of the lock-order graph, each sorted
-/// ascending — the same node ordering and Tarjan traversal as
-/// `jcc_detect::lockorder`, so verdict order matches byte for byte.
-fn cycles_of(edges: &BTreeMap<u64, BTreeMap<u64, BTreeSet<u64>>>) -> Vec<Vec<u64>> {
+/// SCCs (≥ 2 nodes, or a self-loop) of a lock-order graph given as
+/// `from → to → threads`, each sorted ascending, in Tarjan completion
+/// order over the ascending node ids. `jcc_detect::lockorder` calls this
+/// too, so online and post-hoc verdicts match byte for byte.
+pub fn cycles_of(edges: &BTreeMap<u64, BTreeMap<u64, BTreeSet<u64>>>) -> Vec<Vec<u64>> {
     let nodes: Vec<u64> = edges
         .iter()
         .flat_map(|(&a, ts)| std::iter::once(a).chain(ts.keys().copied()))

@@ -50,30 +50,23 @@ fn graph_fingerprint(g: &ReachGraph) -> GraphFingerprint {
     (markings, successors, g.dead_states())
 }
 
-fn limits(threads: usize) -> ReachLimits {
-    ReachLimits {
-        parallelism: Parallelism::with_threads(threads),
-        ..ReachLimits::default()
-    }
-}
-
 #[test]
 fn reach_graph_unchanged_by_observation() {
     let _guard = obs_lock();
     for n in 1..=3 {
         let j = JavaNet::new(n);
-        let reference = with_level(obs::ObsLevel::Off, || ReachGraph::explore(j.net(), limits(1)));
+        let reference = with_level(obs::ObsLevel::Off, || {
+            ReachGraph::explore(j.net(), ReachLimits::default())
+        });
         let reference_fp = graph_fingerprint(&reference);
         for level in [obs::ObsLevel::Summary, obs::ObsLevel::Trace] {
-            for threads in [1usize, 4] {
-                let g = with_level(level, || ReachGraph::explore(j.net(), limits(threads)));
-                assert_eq!(
-                    graph_fingerprint(&g),
-                    reference_fp,
-                    "n={n} level={} threads={threads}",
-                    level.name()
-                );
-            }
+            let g = with_level(level, || ReachGraph::explore(j.net(), ReachLimits::default()));
+            assert_eq!(
+                graph_fingerprint(&g),
+                reference_fp,
+                "n={n} level={}",
+                level.name()
+            );
         }
     }
 }
@@ -83,7 +76,7 @@ fn reach_counters_agree_with_stats() {
     let _guard = obs_lock();
     let j = JavaNet::new(2);
     let g = with_level(obs::ObsLevel::Summary, || {
-        ReachGraph::explore(j.net(), limits(1))
+        ReachGraph::explore(j.net(), ReachLimits::default())
     });
     let reg = obs::global();
     assert_eq!(reg.counter("petri.reach.explorations").get(), 1);
@@ -251,22 +244,20 @@ fn with_live_stack<T>(f: impl FnOnce() -> T) -> T {
 
 #[test]
 fn reach_graph_unchanged_by_live_introspection() {
-    // The tentpole guarantee: the full live stack (profiler sampling the
-    // engine thread, heartbeats draining the progress cell, exposition
-    // serving scrapes) produces byte-identical reachability graphs at any
-    // worker count.
+    // The full live stack (profiler sampling the engine thread, heartbeats
+    // draining the progress cell, exposition serving scrapes) produces a
+    // byte-identical reachability graph.
     let _guard = obs_lock();
     let j = JavaNet::new(3);
-    let reference = with_level(obs::ObsLevel::Off, || ReachGraph::explore(j.net(), limits(1)));
-    let reference_fp = graph_fingerprint(&reference);
-    for threads in [1usize, 2, 4] {
-        let g = with_live_stack(|| ReachGraph::explore(j.net(), limits(threads)));
-        assert_eq!(
-            graph_fingerprint(&g),
-            reference_fp,
-            "live stack changed the graph at threads={threads}"
-        );
-    }
+    let reference = with_level(obs::ObsLevel::Off, || {
+        ReachGraph::explore(j.net(), ReachLimits::default())
+    });
+    let g = with_live_stack(|| ReachGraph::explore(j.net(), ReachLimits::default()));
+    assert_eq!(
+        graph_fingerprint(&g),
+        graph_fingerprint(&reference),
+        "live stack changed the graph"
+    );
 }
 
 #[test]
